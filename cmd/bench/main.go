@@ -188,8 +188,8 @@ func main() {
 			fmt.Sprintf("%d", res.Totals.Pairs),
 			fmt.Sprintf("%.0f", res.Rates.EventsPerSimSec),
 			fmt.Sprintf("%.1f", res.Rates.PairsPerSimSec),
-			fmt.Sprintf("%.3f", res.AllocsPerAttempt),
-			fmt.Sprintf("%.1f", res.BytesPerAttempt),
+			fmt.Sprintf("%.4f", res.AllocsPerAttempt),
+			fmt.Sprintf("%.2f", res.BytesPerAttempt),
 		}
 		if *wallclock && res.WallClock != nil {
 			row = append(row,

@@ -27,10 +27,10 @@ type RunConfig struct {
 	// sharded run's totals/rates against the committed serial baseline.
 	Shards int `json:"shards,omitempty"`
 	// Queue is the event-queue discipline the run used. Empty means the
-	// binary-heap default, so heap results (and pre-existing baselines)
-	// carry no queue field. The deterministic counters sections are
-	// identical under either discipline — CI compares a wheel run's
-	// totals/rates against the committed heap baseline.
+	// timing-wheel default, so default results (and the committed
+	// baselines) carry no queue field. The deterministic counters sections
+	// are identical under either discipline — CI compares a -queue heap
+	// run's totals/rates against the committed baseline.
 	Queue string `json:"queue,omitempty"`
 }
 

@@ -24,7 +24,7 @@ const (
 	// BackendHelp documents -backend for the trial-fan-out commands.
 	BackendHelp = "pair-state backend: dense (exact, default) or belldiag (O(1) fast path); $REPRO_BACKEND sets the default"
 	// QueueHelp documents -queue (identical across all commands).
-	QueueHelp = "event-queue discipline: heap (exact binary heap, default) or wheel (hierarchical timing wheel); $REPRO_QUEUE sets the default"
+	QueueHelp = "event-queue discipline: wheel (hierarchical timing wheel, default) or heap (exact binary heap, the reference); $REPRO_QUEUE sets the default"
 	// ShardsTablesHelp documents -shards for commands printing tables.
 	ShardsTablesHelp = "worker shards of the simulation engine (<=1 serial; tables are identical at any shard count)"
 	// TraceHelp documents -trace for the trial-fan-out commands.

@@ -150,10 +150,13 @@ type EGP struct {
 
 	// Outstanding attempt bookkeeping. Deadlines guard against lost REPLY
 	// frames permanently blocking generation.
-	outstandingK  bool
-	kDeadline     sim.Time
-	outstandingM  int
+	outstandingK bool
+	kDeadline    sim.Time
+	outstandingM int
+	// mAttemptTimes holds the trigger times of outstanding M attempts,
+	// oldest first: a FIFO consumed from mAttemptHead (see pushMAttempt).
 	mAttemptTimes []sim.Time
+	mAttemptHead  int
 	busyUntil     sim.Time
 	// kResumeCycle is the earliest cycle at which the next create-and-keep
 	// attempt may be triggered after a success; it is computed identically
@@ -425,6 +428,7 @@ func (e *EGP) FailAll(code wire.EGPError) {
 	}
 	e.outstandingM = 0
 	e.mAttemptTimes = e.mAttemptTimes[:0]
+	e.mAttemptHead = 0
 	// Cancelling an event has no observable trajectory effect, so plain map
 	// iteration is fine here.
 	for id, ev := range e.pendingExpires {
@@ -520,7 +524,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 		return mhp.PollDecision{}
 	}
 	e.outstandingM++
-	e.mAttemptTimes = append(e.mAttemptTimes, e.cfg.Sim.Now())
+	e.pushMAttempt(e.cfg.Sim.Now())
 	e.attemptsRequested++
 	return mhp.PollDecision{
 		Attempt:      true,
@@ -584,11 +588,31 @@ func (e *EGP) reapLostAttempts() {
 		e.qmm.ReleaseComm()
 	}
 	deadline := e.replyDeadline()
-	for len(e.mAttemptTimes) > 0 && now.Sub(e.mAttemptTimes[0]) > deadline {
-		e.mAttemptTimes = e.mAttemptTimes[1:]
+	for e.mAttemptHead < len(e.mAttemptTimes) && now.Sub(e.mAttemptTimes[e.mAttemptHead]) > deadline {
+		e.popMAttempt()
 		if e.outstandingM > 0 {
 			e.outstandingM--
 		}
+	}
+}
+
+// pushMAttempt records the trigger time of a new M attempt, first
+// reclaiming the consumed prefix once it passes half the backing array, so
+// steady-state attempts reuse one array instead of reslicing it away and
+// reallocating.
+func (e *EGP) pushMAttempt(at sim.Time) {
+	if e.mAttemptHead > 0 && e.mAttemptHead*2 >= len(e.mAttemptTimes) {
+		n := copy(e.mAttemptTimes, e.mAttemptTimes[e.mAttemptHead:])
+		e.mAttemptTimes = e.mAttemptTimes[:n]
+		e.mAttemptHead = 0
+	}
+	e.mAttemptTimes = append(e.mAttemptTimes, at)
+}
+
+// popMAttempt drops the oldest outstanding M-attempt time, if any.
+func (e *EGP) popMAttempt() {
+	if e.mAttemptHead < len(e.mAttemptTimes) {
+		e.mAttemptHead++
 	}
 }
 
@@ -610,9 +634,7 @@ func (e *EGP) HandleResult(r mhp.Result) {
 		e.qmm.ReleaseComm()
 	} else if e.outstandingM > 0 {
 		e.outstandingM--
-		if len(e.mAttemptTimes) > 0 {
-			e.mAttemptTimes = e.mAttemptTimes[1:]
-		}
+		e.popMAttempt()
 	}
 
 	if r.Outcome == wire.ErrGeneralFailure || r.Outcome.IsError() {

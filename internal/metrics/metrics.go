@@ -20,8 +20,18 @@ type Series struct {
 	sorted []float64 // lazily sorted copy for quantiles; nil when stale
 }
 
+// seriesInitialCap is the first allocation of a series. A one-element
+// backing array (8 B) would be a tiny allocation, packed into a per-P block
+// whose byte cost depends on which processor the goroutine happens to run
+// on; starting at four keeps the bench harness's bytes-per-attempt figure a
+// deterministic function of the run.
+const seriesInitialCap = 4
+
 // Add records one observation.
 func (s *Series) Add(v float64) {
+	if s.values == nil {
+		s.values = make([]float64, 0, seriesInitialCap)
+	}
 	s.values = append(s.values, v)
 	s.sum += v
 	s.sumSq += v * v

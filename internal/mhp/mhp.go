@@ -150,16 +150,72 @@ func (r *PairRegistry) Len() int { return len(r.pairs) }
 // The photon cannot be lost independently of the frame here because photon
 // loss is already part of the optical model sampled at the midpoint; what
 // matters for protocol robustness is losing the classical frame.
+//
+// Payloads travel as pointers, which box into the channel's any without
+// allocating, and are recycled through the sending node's free list.
 type genPayload struct {
+	// frame is the encoded GEN frame; for pooled payloads it aliases buf.
 	frame []byte
+	buf   [wire.GENFrameLen]byte
 	alpha float64
-	node  string
+	side  nv.PairSide
 	cycle uint64
+	// gen is the frame as decoded on arrival at the midpoint, kept for the
+	// matching and hold-timeout paths.
+	gen  wire.GENFrame
+	pool *freeList[genPayload]
 }
 
-// replyPayload carries the encoded REPLY frame from the midpoint to a node.
+// release returns the payload to its free list (a no-op for unpooled
+// payloads).
+func (p *genPayload) release() {
+	if p.pool != nil {
+		p.pool.put(p)
+	}
+}
+
+// replyPayload carries the encoded REPLY frame from the midpoint to a node;
+// it is recycled through the midpoint's free list once the node has decoded
+// it.
 type replyPayload struct {
+	// frame is the encoded REPLY frame; for pooled payloads it aliases buf.
 	frame []byte
+	buf   [wire.REPLYFrameLen]byte
+	pool  *freeList[replyPayload]
+}
+
+func (p *replyPayload) release() {
+	if p.pool != nil {
+		p.pool.put(p)
+	}
+}
+
+// freeList recycles the per-attempt payloads. A node draws a GEN payload per
+// attempt and the midpoint returns it once it is done with the frame: on
+// arrival when the frame matched a waiting peer, or when its hold timer
+// fires. REPLY payloads run the other way. A frame lost on the channel is
+// simply never returned. Every part of a link (both nodes and the midpoint)
+// runs on the engine that owns the link, so the list needs no locking.
+type freeList[T any] []*T
+
+func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
+
+// take returns a recycled payload, or nil when the list is empty.
+func (l *freeList[T]) take() *T {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	x := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return x
+}
+
+// pendingAttempt is one triggered attempt awaiting its REPLY.
+type pendingAttempt struct {
+	cycle    uint64
+	decision PollDecision
 }
 
 // Node is the node-side MHP instance.
@@ -174,10 +230,15 @@ type Node struct {
 
 	toMidpoint *classical.Channel
 
-	cycle        uint64
-	cycleTimeK   sim.Duration
-	cycleTimeM   sim.Duration
-	pending      map[uint64]PollDecision // attempts awaiting a REPLY, by cycle
+	cycle      uint64
+	cycleTimeK sim.Duration
+	cycleTimeM sim.Duration
+	// pending holds the attempts awaiting a REPLY in trigger order, which is
+	// cycle order: a FIFO consumed from pendingHead, so the oldest attempt
+	// matching a reply's queue ID is the first hit of a forward scan.
+	pending      []pendingAttempt
+	pendingHead  int
+	genFree      freeList[genPayload]
 	attemptCount uint64
 	localFails   uint64
 
@@ -234,7 +295,6 @@ func NewNode(cfg NodeConfig) *Node {
 		toMidpoint: cfg.ToMidpoint,
 		cycleTimeK: cfg.CycleTimeK,
 		cycleTimeM: cfg.CycleTimeM,
-		pending:    make(map[uint64]PollDecision),
 		trace:      cfg.Trace,
 		traceID:    cfg.TraceID,
 		metrics:    cfg.Metrics,
@@ -260,9 +320,8 @@ func (n *Node) SetRateDivisor(d uint64) { n.rateDivisor = d }
 // link's in-flight attempts, whose replies (if any) will find no matching
 // queue item anyway.
 func (n *Node) ClearPending() {
-	for c := range n.pending {
-		delete(n.pending, c)
-	}
+	n.pending = n.pending[:0]
+	n.pendingHead = 0
 }
 
 // Attempts returns how many attempts this node has triggered.
@@ -291,7 +350,7 @@ func (n *Node) runCycle() {
 	// pair registry in the same pass, since lost REPLYs also strand pairs
 	// that neither node will ever claim.
 	if n.cycle%1024 == 0 {
-		if len(n.pending) > 0 && n.cycle > 4096 {
+		if n.PendingAttempts() > 0 && n.cycle > 4096 {
 			n.DropPending(n.cycle - 4096)
 		}
 		n.registry.Sweep(registryMaxLag)
@@ -335,39 +394,65 @@ func (n *Node) runCycle() {
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
-	frame := wire.GENFrame{QueueID: decision.QueueID, Timestamp: n.cycle}
-	n.pending[n.cycle] = decision
-	n.toMidpoint.Send(genPayload{
-		frame: frame.Encode(),
-		alpha: decision.Alpha,
-		node:  n.Name,
-		cycle: n.cycle,
-	})
+	n.pushPending(decision)
+	payload := n.genFree.take()
+	if payload == nil {
+		payload = &genPayload{pool: &n.genFree}
+		payload.frame = payload.buf[:]
+	}
+	wire.GENFrame{QueueID: decision.QueueID, Timestamp: n.cycle}.EncodeTo(&payload.buf)
+	payload.alpha = decision.Alpha
+	payload.side = n.side
+	payload.cycle = n.cycle
+	n.toMidpoint.Send(payload)
+}
+
+// pushPending appends the attempt triggered in the current cycle to the
+// pending FIFO, first reclaiming the consumed prefix once it passes half
+// the backing array (amortised O(1), so the FIFO never reallocates in
+// steady state).
+func (n *Node) pushPending(d PollDecision) {
+	if n.pendingHead > 0 && n.pendingHead*2 >= len(n.pending) {
+		k := copy(n.pending, n.pending[n.pendingHead:])
+		n.pending = n.pending[:k]
+		n.pendingHead = 0
+	}
+	n.pending = append(n.pending, pendingAttempt{cycle: n.cycle, decision: d})
+}
+
+// removePending deletes the pending attempt at index i, keeping the FIFO in
+// cycle order by shifting the older entries up one slot (replies normally
+// arrive in order, so i is almost always the head and nothing moves).
+func (n *Node) removePending(i int) {
+	copy(n.pending[n.pendingHead+1:i+1], n.pending[n.pendingHead:i])
+	n.pendingHead++
+	if n.pendingHead == len(n.pending) {
+		n.ClearPending()
+	}
 }
 
 // HandleReply processes a REPLY frame delivered from the midpoint.
 func (n *Node) HandleReply(msg classical.Message) {
-	payload, ok := msg.Payload.(replyPayload)
+	payload, ok := msg.Payload.(*replyPayload)
 	if !ok {
 		return
 	}
 	reply, err := wire.DecodeREPLY(payload.frame)
+	payload.release()
 	if err != nil {
 		return
 	}
 	n.trace.Record(n.simul.Now(), obs.KindMHPReply, n.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
-	// Match the reply to the pending attempt by the echoed queue ID; the
-	// cycle association is recovered from the pending map (oldest first).
+	// Match the reply to the pending attempt by the echoed queue ID: the
+	// oldest matching attempt, which is the first hit in cycle order.
 	var cycle uint64
 	var decision PollDecision
-	found := false
-	for c, d := range n.pending {
-		if d.QueueID == reply.QueueID && (!found || c < cycle) {
-			cycle, decision, found = c, d, true
+	for i := n.pendingHead; i < len(n.pending); i++ {
+		if p := n.pending[i]; p.decision.QueueID == reply.QueueID {
+			cycle, decision = p.cycle, p.decision
+			n.removePending(i)
+			break
 		}
-	}
-	if found {
-		delete(n.pending, cycle)
 	}
 	result := Result{
 		Outcome:      reply.Outcome,
@@ -388,15 +473,16 @@ func (n *Node) HandleReply(msg classical.Message) {
 
 // PendingAttempts returns how many attempts are awaiting a REPLY (used by
 // tests and by the EGP's emission-multiplexing logic).
-func (n *Node) PendingAttempts() int { return len(n.pending) }
+func (n *Node) PendingAttempts() int { return len(n.pending) - n.pendingHead }
 
 // DropPending discards pending attempt state older than the given cycle;
 // used by the EGP when it declares attempts lost.
 func (n *Node) DropPending(olderThan uint64) {
-	for c := range n.pending {
-		if c < olderThan {
-			delete(n.pending, c)
-		}
+	for n.pendingHead < len(n.pending) && n.pending[n.pendingHead].cycle < olderThan {
+		n.pendingHead++
+	}
+	if n.pendingHead == len(n.pending) {
+		n.ClearPending()
 	}
 }
 
@@ -427,11 +513,15 @@ type Midpoint struct {
 	depolarize float64
 
 	seq uint16
-	// waiting holds unmatched GEN frames per node, keyed by the attempt
+	// waiting holds unmatched GEN frames per node side, keyed by the attempt
 	// cycle carried in the frame's timestamp: the station links messages to
 	// detection windows by timestamp, not by arrival order, so emission
 	// multiplexing over asymmetric fibre arms pairs the right attempts.
-	waiting map[string]map[uint64]genPayload
+	waiting [2]map[uint64]*genPayload
+	// onHold is the prebuilt hold-timeout handler; each held GEN schedules
+	// it with the payload as argument instead of a fresh closure.
+	onHold    sim.ArgHandler
+	replyFree freeList[replyPayload]
 
 	// Statistics.
 	matched       uint64
@@ -479,7 +569,7 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 	if hold <= 0 {
 		hold = 500 * sim.Microsecond
 	}
-	return &Midpoint{
+	m := &Midpoint{
 		simul:        cfg.Sim,
 		sampler:      cfg.Sampler,
 		registry:     cfg.Registry,
@@ -487,11 +577,13 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 		toB:          cfg.ToB,
 		windowCycles: w,
 		holdTime:     hold,
-		waiting:      map[string]map[uint64]genPayload{"A": {}, "B": {}},
+		waiting:      [2]map[uint64]*genPayload{{}, {}},
 		trace:        cfg.Trace,
 		traceID:      cfg.TraceID,
 		metrics:      cfg.Metrics,
 	}
+	m.onHold = m.holdExpired
+	return m
 }
 
 // Stats reports the midpoint's counters: matched attempt pairs, heralded
@@ -516,7 +608,7 @@ func (m *Midpoint) SetDepolarizing(f float64) {
 
 // HandleGEN processes a GEN frame (and accompanying photon) from either node.
 func (m *Midpoint) HandleGEN(msg classical.Message) {
-	payload, ok := msg.Payload.(genPayload)
+	payload, ok := msg.Payload.(*genPayload)
 	if !ok {
 		return
 	}
@@ -524,46 +616,58 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	// timeout path and the matching path below.
 	genSelf, err := wire.DecodeGEN(payload.frame)
 	if err != nil {
+		payload.release()
 		return
 	}
-	other := "A"
-	if payload.node == "A" {
-		other = "B"
-	}
+	payload.gen = genSelf
 	// Link the message to a detection window by its timestamp: look for a
 	// waiting peer GEN whose cycle lies within the detection window.
-	peer, haveMatch := m.findPeerGEN(other, payload.cycle)
-	if !haveMatch {
+	other := otherSide(payload.side)
+	peer := m.findPeerGEN(other, payload.cycle)
+	if peer == nil {
 		// Hold this GEN waiting for the peer's; if it never arrives the
 		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
-		// when the peer was attempting different cycles).
-		m.waiting[payload.node][payload.cycle] = payload
-		sim.Schedule(m.simul, m.holdTime, func() {
-			if held, still := m.waiting[payload.node][payload.cycle]; still && held.cycle == payload.cycle {
-				delete(m.waiting[payload.node], payload.cycle)
-				if len(m.waiting[other]) > 0 {
-					m.timeMismatch++
-					m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 0, int64(payload.cycle))
-					m.sendError(payload.node, genSelf.QueueID, wire.ErrTimeMismatch)
-				} else {
-					m.noOther++
-					m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 1, int64(payload.cycle))
-					m.sendError(payload.node, genSelf.QueueID, wire.ErrNoMessageOther)
-				}
-			}
-		})
+		// when the peer was attempting different cycles). The hold timer
+		// owns the payload from here and releases it when it fires.
+		m.waiting[payload.side][payload.cycle] = payload
+		sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
 		return
 	}
 	delete(m.waiting[other], peer.cycle)
+	m.herald(payload, peer)
+	// The peer stays owned by its own pending hold timer.
+	payload.release()
+}
 
-	// The peer frame was validated when it arrived, so its decode cannot fail.
-	genPeer, _ := wire.DecodeGEN(peer.frame)
+// holdExpired is the hold timer of one held GEN: if the GEN is still
+// waiting for its peer, the attempt is reported back as an error.
+func (m *Midpoint) holdExpired(_ sim.Time, arg any) {
+	p := arg.(*genPayload)
+	if _, still := m.waiting[p.side][p.cycle]; still {
+		delete(m.waiting[p.side], p.cycle)
+		if len(m.waiting[otherSide(p.side)]) > 0 {
+			m.timeMismatch++
+			m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 0, int64(p.cycle))
+			m.sendError(p.side, p.gen.QueueID, wire.ErrTimeMismatch)
+		} else {
+			m.noOther++
+			m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 1, int64(p.cycle))
+			m.sendError(p.side, p.gen.QueueID, wire.ErrNoMessageOther)
+		}
+	}
+	p.release()
+}
+
+// herald checks a matched GEN pair for queue consistency, performs the
+// optical Bell-state measurement and announces the outcome to both nodes.
+func (m *Midpoint) herald(payload, peer *genPayload) {
+	genSelf, genPeer := payload.gen, peer.gen
 
 	// Queue-ID consistency check.
 	if genSelf.QueueID != genPeer.QueueID {
 		m.queueMismatch++
 		m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 2, int64(payload.cycle))
-		m.sendErrorBoth(payload, peer, wire.ErrQueueMismatch, genSelf.QueueID, genPeer.QueueID)
+		m.sendErrorBoth(payload, peer, wire.ErrQueueMismatch)
 		return
 	}
 	m.matched++
@@ -573,11 +677,11 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 
 	// Perform the optical Bell-state measurement. By convention A is the
 	// first argument.
-	alphaA, alphaB := payload.alpha, peer.alpha
-	if payload.node == "B" {
-		alphaA, alphaB = peer.alpha, payload.alpha
+	a, b := payload, peer
+	if payload.side == nv.SideB {
+		a, b = peer, payload
 	}
-	res := m.sampler.Sample(alphaA, alphaB, m.simul.RNG())
+	res := m.sampler.Sample(a.alpha, b.alpha, m.simul.RNG())
 
 	outcome := wire.OutcomeFailure
 	switch res.Outcome {
@@ -607,62 +711,61 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
 
 	// Send REPLY to both nodes, echoing each node's own queue ID first.
-	m.sendReply("A", outcome, seq, genQueueForNode("A", payload, peer, genSelf, genPeer), genQueueForNode("B", payload, peer, genSelf, genPeer))
-	m.sendReply("B", outcome, seq, genQueueForNode("B", payload, peer, genSelf, genPeer), genQueueForNode("A", payload, peer, genSelf, genPeer))
+	m.sendReply(nv.SideA, outcome, seq, a.gen.QueueID, b.gen.QueueID)
+	m.sendReply(nv.SideB, outcome, seq, b.gen.QueueID, a.gen.QueueID)
 }
 
-// findPeerGEN returns a waiting GEN from the named node whose cycle is
-// within the detection window of the given cycle.
-func (m *Midpoint) findPeerGEN(node string, cycle uint64) (genPayload, bool) {
-	if p, ok := m.waiting[node][cycle]; ok {
-		return p, true
+// otherSide returns the opposite end of the link.
+func otherSide(side nv.PairSide) nv.PairSide {
+	if side == nv.SideA {
+		return nv.SideB
+	}
+	return nv.SideA
+}
+
+// findPeerGEN returns a waiting GEN from the given side whose cycle is
+// within the detection window of the given cycle, or nil.
+func (m *Midpoint) findPeerGEN(side nv.PairSide, cycle uint64) *genPayload {
+	waiting := m.waiting[side]
+	if p, ok := waiting[cycle]; ok {
+		return p
 	}
 	for d := uint64(1); d < m.windowCycles; d++ {
-		if p, ok := m.waiting[node][cycle-d]; ok {
-			return p, true
+		if p, ok := waiting[cycle-d]; ok {
+			return p
 		}
-		if p, ok := m.waiting[node][cycle+d]; ok {
-			return p, true
+		if p, ok := waiting[cycle+d]; ok {
+			return p
 		}
 	}
-	return genPayload{}, false
+	return nil
 }
 
-// genQueueForNode returns the queue ID submitted by the named node, given
-// the two payloads and their decoded frames.
-func genQueueForNode(node string, p1, p2 genPayload, f1, f2 wire.GENFrame) wire.AbsoluteQueueID {
-	if p1.node == node {
-		return f1.QueueID
+// sendReply transmits a REPLY frame to the node on the given side.
+func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
+	payload := m.replyFree.take()
+	if payload == nil {
+		payload = &replyPayload{pool: &m.replyFree}
+		payload.frame = payload.buf[:]
 	}
-	if p2.node == node {
-		return f2.QueueID
-	}
-	return wire.AbsoluteQueueID{}
-}
-
-// sendReply transmits a REPLY frame to the named node.
-func (m *Midpoint) sendReply(node string, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
-	frame := wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}
+	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.EncodeTo(&payload.buf)
 	ch := m.toA
-	if node == "B" {
+	if side == nv.SideB {
 		ch = m.toB
 	}
-	ch.Send(replyPayload{frame: frame.Encode()})
+	ch.Send(payload)
 }
 
 // sendError sends an error REPLY to the single node that sent a GEN.
-func (m *Midpoint) sendError(node string, queueID wire.AbsoluteQueueID, code wire.MHPOutcome) {
-	m.sendReply(node, code, 0, queueID, wire.AbsoluteQueueID{})
+func (m *Midpoint) sendError(side nv.PairSide, queueID wire.AbsoluteQueueID, code wire.MHPOutcome) {
+	m.sendReply(side, code, 0, queueID, wire.AbsoluteQueueID{})
 }
 
-// sendErrorBoth sends an error REPLY to both nodes.
-func (m *Midpoint) sendErrorBoth(p1, p2 genPayload, code wire.MHPOutcome, q1, q2 wire.AbsoluteQueueID) {
-	m.sendReplyFor(p1.node, code, q1, q2)
-	m.sendReplyFor(p2.node, code, q2, q1)
-}
-
-func (m *Midpoint) sendReplyFor(node string, code wire.MHPOutcome, own, peer wire.AbsoluteQueueID) {
-	m.sendReply(node, code, 0, own, peer)
+// sendErrorBoth sends an error REPLY to both nodes, each echoing its own
+// submitted queue ID first.
+func (m *Midpoint) sendErrorBoth(p1, p2 *genPayload, code wire.MHPOutcome) {
+	m.sendReply(p1.side, code, 0, p1.gen.QueueID, p2.gen.QueueID)
+	m.sendReply(p2.side, code, 0, p2.gen.QueueID, p1.gen.QueueID)
 }
 
 // String summarises midpoint statistics for diagnostics.
@@ -671,12 +774,16 @@ func (m *Midpoint) String() string {
 		m.matched, m.successes, m.timeMismatch, m.queueMismatch, m.noOther)
 }
 
-// NewGENPayload builds the channel payload for a GEN frame; exported for the
-// core network wiring and tests.
+// NewGENPayload builds the channel payload for a GEN frame sent by the named
+// node ("A" or "B"); exported for the core network wiring and tests.
 func NewGENPayload(frame []byte, alpha float64, node string, cycle uint64) any {
-	return genPayload{frame: frame, alpha: alpha, node: node, cycle: cycle}
+	side := nv.SideA
+	if node == "B" {
+		side = nv.SideB
+	}
+	return &genPayload{frame: frame, alpha: alpha, side: side, cycle: cycle}
 }
 
 // NewREPLYPayload builds the channel payload for a REPLY frame; exported for
 // tests.
-func NewREPLYPayload(frame []byte) any { return replyPayload{frame: frame} }
+func NewREPLYPayload(frame []byte) any { return &replyPayload{frame: frame} }

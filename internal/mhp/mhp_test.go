@@ -42,10 +42,18 @@ type harness struct {
 
 func newHarness(t *testing.T, loss float64) *harness {
 	t.Helper()
-	h := &harness{s: sim.New(9), genA: &stubGenerator{}, genB: &stubGenerator{}}
+	h := &harness{genA: &stubGenerator{}, genB: &stubGenerator{}}
+	h.build(sim.New(9), quantum.BackendDense, loss, h.genA, h.genB)
+	return h
+}
+
+// build wires the harness on the given engine and pair-state backend, with
+// genA and genB as the two nodes' link layers.
+func (h *harness) build(s *sim.Simulator, backend quantum.Backend, loss float64, genA, genB Generator) {
+	h.s = s
 	platform := nv.LabPlatform()
 	h.registry = NewPairRegistry()
-	sampler := photonics.NewLinkSampler(platform.Optics)
+	sampler := photonics.NewLinkSamplerBackend(platform.Optics, backend)
 	devA := nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1)
 	devB := nv.NewDevice("B", platform.Gates, platform.CarbonCoupling, 1)
 
@@ -55,18 +63,17 @@ func newHarness(t *testing.T, loss float64) *harness {
 	chanHtoB := classical.NewChannel("h->b", h.s, 10*sim.Nanosecond, loss, func(m classical.Message) { h.nodeB.HandleReply(m) })
 
 	h.nodeA = NewNode(NodeConfig{
-		Name: "A", Sim: h.s, Generator: h.genA, Device: devA, Registry: h.registry, Side: nv.SideA,
+		Name: "A", Sim: h.s, Generator: genA, Device: devA, Registry: h.registry, Side: nv.SideA,
 		ToMidpoint: chanAtoH, CycleTimeM: sim.DurationMicroseconds(10.12), CycleTimeK: sim.DurationMicroseconds(11),
 	})
 	h.nodeB = NewNode(NodeConfig{
-		Name: "B", Sim: h.s, Generator: h.genB, Device: devB, Registry: h.registry, Side: nv.SideB,
+		Name: "B", Sim: h.s, Generator: genB, Device: devB, Registry: h.registry, Side: nv.SideB,
 		ToMidpoint: chanBtoH, CycleTimeM: sim.DurationMicroseconds(10.12), CycleTimeK: sim.DurationMicroseconds(11),
 	})
 	h.mid = NewMidpoint(MidpointConfig{
 		Sim: h.s, Sampler: sampler, Registry: h.registry,
 		ToA: chanHtoA, ToB: chanHtoB, WindowCycles: 1, HoldTime: 100 * sim.Microsecond,
 	})
-	return h
 }
 
 func attemptDecision(qid wire.AbsoluteQueueID, alpha float64) PollDecision {
@@ -308,5 +315,72 @@ func TestMidpointIgnoresGarbage(t *testing.T) {
 	}
 	if h.mid.String() == "" {
 		t.Fatal("midpoint should describe itself")
+	}
+}
+
+// steadyGenerator requests the same attempt every cycle and only counts the
+// results, so the link layer itself allocates nothing.
+type steadyGenerator struct {
+	decision PollDecision
+	results  uint64
+	failures uint64
+}
+
+func (g *steadyGenerator) PollTrigger(uint64) PollDecision { return g.decision }
+
+func (g *steadyGenerator) HandleResult(r Result) {
+	g.results++
+	if r.Outcome == wire.OutcomeFailure {
+		g.failures++
+	}
+}
+
+// TestFailedAttemptRoundTripAllocFree pins the steady-state failed-attempt
+// round trip — runCycle, GEN delivery, HandleGEN, the hold timer, REPLY
+// delivery, HandleReply — at zero heap allocations, on both pair-state
+// backends and both event-queue disciplines. The measured window is one
+// AllocsPerRun call spanning hundreds of attempts, so a single allocation
+// anywhere in it fails the test.
+func TestFailedAttemptRoundTripAllocFree(t *testing.T) {
+	const cycle = 10120 * sim.Nanosecond
+	for _, backend := range []quantum.Backend{quantum.BackendDense, quantum.BackendBellDiagonal} {
+		for _, queue := range []sim.QueueKind{sim.QueueWheel, sim.QueueHeap} {
+			t.Run(backend.String()+"/"+queue.String(), func(t *testing.T) {
+				qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 4}
+				genA := &steadyGenerator{decision: attemptDecision(qid, 0.05)}
+				genB := &steadyGenerator{decision: attemptDecision(qid, 0.05)}
+				h := &harness{}
+				h.build(sim.NewWithQueue(9, queue), backend, 0, genA, genB)
+				stopA := h.nodeA.Start()
+				stopB := h.nodeB.Start()
+				defer stopA()
+				defer stopB()
+				// Warm up: grow the payload pools, the pending FIFOs, the
+				// waiting tables and the engine's event storage.
+				if err := h.s.RunFor(2000 * cycle); err != nil {
+					t.Fatal(err)
+				}
+				_, successesBefore, _, _, _ := h.mid.Stats()
+				resultsBefore := genA.results
+				allocs := testing.AllocsPerRun(1, func() {
+					if err := h.s.RunFor(400 * cycle); err != nil {
+						t.Fatal(err)
+					}
+				})
+				_, successes, _, _, _ := h.mid.Stats()
+				if successes != successesBefore {
+					t.Fatalf("a heralded success fell in the measured window; pick a seed without one")
+				}
+				if got := genA.results - resultsBefore; got < 2*400-10 {
+					t.Fatalf("only %d results in the measured window (warm-up and window span 800 cycles)", got)
+				}
+				if genA.failures != genA.results || genB.failures != genB.results {
+					t.Fatalf("non-failure outcomes: A %d/%d, B %d/%d failures", genA.failures, genA.results, genB.failures, genB.results)
+				}
+				if allocs != 0 {
+					t.Fatalf("failed-attempt round trip allocates: %v allocations over 800 attempts", allocs)
+				}
+			})
+		}
 	}
 }

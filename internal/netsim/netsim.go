@@ -60,8 +60,8 @@ type Config struct {
 	// (default 50 ms of simulated time).
 	QueueSamplePeriod sim.Duration
 	// Queue selects the event-queue discipline every engine runs on:
-	// sim.QueueHeap (the exact binary heap, the zero value) or
-	// sim.QueueWheel (the hierarchical timing wheel). Execution order,
+	// sim.QueueWheel (the hierarchical timing wheel, the zero value) or
+	// sim.QueueHeap (the exact binary heap, the reference). Execution order,
 	// counters and experiment tables are identical under either discipline;
 	// only the constant factors differ.
 	Queue sim.QueueKind
@@ -89,7 +89,7 @@ type Config struct {
 // losses, emission multiplexing on. The pair-state backend defaults to
 // $REPRO_BACKEND when set (the CI test matrix runs the suite once per
 // backend), else to the exact dense simulator; the event-queue discipline
-// likewise defaults to $REPRO_QUEUE, else the binary heap.
+// likewise defaults to $REPRO_QUEUE, else the timing wheel.
 func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 	return Config{
 		Spec:                 spec,

@@ -128,7 +128,7 @@ type Device struct {
 	side map[QubitID]PairSide
 
 	// uBuf is the reusable readout-draw buffer of Measure: drawing through
-	// the batch interface keeps the uniform stream identical to
+	// the RNG's batch call keeps the uniform stream identical to
 	// one-at-a-time draws while avoiding a per-readout interface call and
 	// any buffer escape (mirroring photonics.LinkSampler.Sample).
 	uBuf [1]float64
@@ -372,25 +372,20 @@ type ReadoutResult struct {
 	Basis   quantum.BasisLabel
 }
 
-// batchRandomSource is the optional fast path of the rng parameter of
-// Measure: sources that can hand out several uniforms at once (sim.RNG does)
-// let the readout draw land in a persistent buffer instead of returning
-// through an interface call per readout.
-type batchRandomSource interface {
-	Float64Batch(dst []float64)
-}
-
 // Measure performs a destructive measurement of this device's side of the
 // pair in the given basis, applying decoherence up to now, the basis
 // rotation (with single-qubit gate noise) and the asymmetric readout POVM of
 // Appendix D.3.4 — all through the pair's backend. The pair is released from
-// the device afterwards. The readout consumes exactly one uniform sample,
-// drawn through the batch interface when available so the stream matches
-// one-at-a-time draws.
+// the device afterwards. The readout consumes exactly one uniform sample; a
+// *sim.RNG hands it out through its batch call into a persistent buffer, so
+// the stream matches one-at-a-time draws. The fast path asserts the concrete
+// type because an assertion to an interface type goes through the runtime's
+// randomly-filled type-assertion cache, which allocates at unpredictable
+// moments.
 func (d *Device) Measure(pair *EntangledPair, side PairSide, basis quantum.BasisLabel, now sim.Time, rng interface{ Float64() float64 }) ReadoutResult {
 	d.ApplyDecoherence(pair, side, now)
 	u := &d.uBuf
-	if batch, ok := rng.(batchRandomSource); ok {
+	if batch, ok := rng.(*sim.RNG); ok {
 		batch.Float64Batch(u[:])
 	} else {
 		u[0] = rng.Float64()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/quantum"
+	"repro/internal/sim"
 )
 
 // LinkSampler caches the pre-measurement optical state for a fixed pair of
@@ -31,9 +32,9 @@ type LinkSampler struct {
 	attempts uint64
 
 	// uBuf is the reusable batch-draw buffer of Sample. Handing a slice of a
-	// local array through the batchSource interface would force the array to
-	// the heap on every attempt; a sampler is confined to one simulator
-	// thread, so a single persistent buffer is safe.
+	// local array to Float64Batch would force the array to the heap on every
+	// attempt; a sampler is confined to one simulator thread, so a single
+	// persistent buffer is safe.
 	uBuf [5]float64
 }
 
@@ -214,13 +215,6 @@ func (s *LinkSampler) ConditionalState(alphaA, alphaB float64, pattern ClickPatt
 	return st.Copy()
 }
 
-// batchSource is the optional fast path of RandomSource: sources that can
-// hand out several uniforms at once (sim.RNG does) let Sample draw its five
-// per-attempt samples in one call instead of five interface calls.
-type batchSource interface {
-	Float64Batch(dst []float64)
-}
-
 // Sample performs one attempt: the ideal click pattern is drawn from the
 // cached distribution, detector noise is applied, and the conditional
 // electron state for the ideal pattern is returned on heralded successes.
@@ -234,10 +228,15 @@ func (s *LinkSampler) Sample(alphaA, alphaB float64, rng RandomSource) AttemptRe
 	s.attempts++
 	d := s.distribution(alphaA, alphaB)
 	// One attempt consumes exactly five uniforms, in a fixed order: the
-	// branch selector, then the four detector-noise draws. Batching them
-	// preserves the stream order of the one-at-a-time draws exactly.
+	// branch selector, then the four detector-noise draws. A *sim.RNG hands
+	// them out in one batch call, which preserves the stream order of the
+	// one-at-a-time draws exactly. The fast path asserts the concrete type:
+	// an assertion to an interface type goes through the runtime's
+	// per-call-site cache, which fills at random moments with a small heap
+	// allocation and would make steady-state attempts allocate
+	// unpredictably.
 	u := &s.uBuf
-	if batch, ok := rng.(batchSource); ok {
+	if batch, ok := rng.(*sim.RNG); ok {
 		batch.Float64Batch(u[:])
 	} else {
 		for i := range u {

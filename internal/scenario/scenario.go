@@ -85,8 +85,8 @@ type Engine struct {
 	// Seed is the base random seed (default 1); trial i derives its own seed
 	// from it.
 	Seed int64 `json:"seed,omitempty"`
-	// Queue is the event-queue discipline: heap (exact binary heap) or wheel
-	// (hierarchical timing wheel). Empty defers to $REPRO_QUEUE, then heap.
+	// Queue is the event-queue discipline: wheel (hierarchical timing wheel)
+	// or heap (exact binary heap). Empty defers to $REPRO_QUEUE, then wheel.
 	Queue string `json:"queue,omitempty"`
 	// Shards selects the engine: <=1 serial, >1 a conservative parallel
 	// engine with that many worker shards. Results are identical either way.

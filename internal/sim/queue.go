@@ -29,39 +29,43 @@ type eventQueue interface {
 	compact(recycle func(*event)) int
 }
 
-// QueueKind selects the event-queue discipline used by a Simulator.
+// QueueKind selects the event-queue discipline used by a Simulator. The zero
+// value is QueueWheel, so every configuration that leaves the queue unset
+// runs on the timing wheel; QueueHeap stays selectable by name as the
+// exact-semantics reference. Execution order and every deterministic counter
+// are identical under either discipline.
 type QueueKind int
 
-// The registered queue disciplines. QueueHeap is the zero value, so
-// configurations that never mention a queue keep the reference heap.
+// The registered queue disciplines.
 const (
+	// QueueWheel is the hierarchical timing wheel, the default: O(1)
+	// amortised insert/cancel with power-of-two bucket widths and cascading
+	// overflow levels. Execution order and every deterministic counter are
+	// identical to the heap; only the wall-clock cost differs.
+	QueueWheel QueueKind = iota
 	// QueueHeap is the binary min-heap: O(log n) insert/pop, the
 	// exact-semantics reference discipline.
-	QueueHeap QueueKind = iota
-	// QueueWheel is the hierarchical timing wheel: O(1) amortised
-	// insert/cancel with power-of-two bucket widths and cascading overflow
-	// levels. Execution order and every deterministic counter are identical
-	// to the heap; only the wall-clock cost differs.
-	QueueWheel
+	QueueHeap
 )
 
 // String renders the queue kind's canonical CLI/JSON name.
 func (k QueueKind) String() string {
-	if k == QueueWheel {
-		return "wheel"
+	if k == QueueHeap {
+		return "heap"
 	}
-	return "heap"
+	return "wheel"
 }
 
-// ParseQueue converts a CLI/JSON name into a QueueKind.
+// ParseQueue converts a CLI/JSON name into a QueueKind; the empty name is
+// the default, the timing wheel.
 func ParseQueue(s string) (QueueKind, error) {
 	switch s {
-	case "", "heap":
-		return QueueHeap, nil
-	case "wheel", "timing-wheel", "timingwheel":
+	case "", "wheel", "timing-wheel", "timingwheel":
 		return QueueWheel, nil
+	case "heap":
+		return QueueHeap, nil
 	default:
-		return QueueHeap, fmt.Errorf("sim: unknown event queue %q (want heap or wheel)", s)
+		return QueueWheel, fmt.Errorf("sim: unknown event queue %q (want wheel or heap)", s)
 	}
 }
 
@@ -70,11 +74,12 @@ func ParseQueue(s string) (QueueKind, error) {
 const QueueEnvVar = "REPRO_QUEUE"
 
 // QueueFromEnv returns the queue discipline named by $REPRO_QUEUE, or
-// QueueHeap when the variable is unset. Default configurations (netsim,
-// bench) consult it so a test matrix can flip every simulator onto the wheel
-// without touching call sites. An unrecognised value panics: the variable
-// exists so CI can claim queue coverage, and a typo that silently fell back
-// to the heap would report green wheel coverage that never ran.
+// QueueWheel when the variable is unset. Default configurations (netsim,
+// bench) consult it so a test matrix can flip every simulator onto the
+// reference heap without touching call sites. An unrecognised value panics:
+// the variable exists so CI can claim queue coverage, and a typo that
+// silently fell back to the wheel would report green heap coverage that
+// never ran.
 func QueueFromEnv() QueueKind {
 	k, err := ParseQueue(os.Getenv(QueueEnvVar))
 	if err != nil {
@@ -84,7 +89,7 @@ func QueueFromEnv() QueueKind {
 }
 
 // ResolveQueue turns a CLI flag value into a QueueKind: an empty flag defers
-// to $REPRO_QUEUE (then the heap), anything else must parse. Shared by every
+// to $REPRO_QUEUE (then the wheel), anything else must parse. Shared by every
 // CLI exposing a -queue flag; unlike QueueFromEnv it reports a bad
 // environment value as an error so CLIs can exit cleanly.
 func ResolveQueue(flagValue string) (QueueKind, error) {
@@ -96,10 +101,10 @@ func ResolveQueue(flagValue string) (QueueKind, error) {
 
 // newQueue builds an empty queue of the given discipline.
 func newQueue(k QueueKind) eventQueue {
-	if k == QueueWheel {
-		return newWheelQueue()
+	if k == QueueHeap {
+		return &heapQueue{}
 	}
-	return &heapQueue{}
+	return newWheelQueue()
 }
 
 // heapStore is a min-heap of events ordered by (time, sequence), the

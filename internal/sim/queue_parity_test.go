@@ -172,6 +172,34 @@ func TestQueueDisciplineParity(t *testing.T) {
 				}
 			},
 		},
+		{
+			// Slice run-ahead: a RunUntil horizon peeks the next event far
+			// beyond the clock, so the wheel's cursor runs ahead and every
+			// short-delay event scheduled in the slices that follow lands in
+			// the ready run, which never drains until the far event fires.
+			name: "slice run-ahead",
+			load: func(s *Simulator, emit func(string)) {
+				ScheduleAt(s, Time(Second), func() { emit("far") })
+				n := 0
+				var tick func()
+				tick = func() {
+					n++
+					k := n
+					Schedule(s, 3*Microsecond, func() { emit(fmt.Sprintf("gen%d", k)) })
+					Schedule(s, 500*Microsecond, func() { emit(fmt.Sprintf("hold%d", k)) })
+					Schedule(s, 10*Microsecond, tick)
+				}
+				for slice := 1; slice <= 40; slice++ {
+					if slice == 2 {
+						tick()
+					}
+					if err := s.RunUntil(Time(slice) * Time(5*Millisecond)); err != nil {
+						t.Fatalf("RunUntil: %v", err)
+					}
+					emit("slice")
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,7 +236,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 // QueueKind surface.
 func TestParseQueue(t *testing.T) {
 	ok := map[string]QueueKind{
-		"":             QueueHeap,
+		"":             QueueWheel,
 		"heap":         QueueHeap,
 		"wheel":        QueueWheel,
 		"timing-wheel": QueueWheel,
@@ -225,5 +253,79 @@ func TestParseQueue(t *testing.T) {
 	}
 	if QueueHeap.String() != "heap" || QueueWheel.String() != "wheel" {
 		t.Errorf("String(): %q / %q", QueueHeap.String(), QueueWheel.String())
+	}
+	var zero QueueKind
+	if zero != QueueWheel {
+		t.Errorf("zero QueueKind is %v, want the wheel default", zero)
+	}
+}
+
+// TestQueueDefaultsToWheel pins the default discipline of every constructor
+// and of the environment fallback, and that the heap stays selectable.
+func TestQueueDefaultsToWheel(t *testing.T) {
+	if _, ok := New(1).q.(*wheelQueue); !ok {
+		t.Error("New does not run on the timing wheel")
+	}
+	for i, shard := range NewSharded(1, 2).shards {
+		if _, ok := shard.q.(*wheelQueue); !ok {
+			t.Errorf("NewSharded shard %d does not run on the timing wheel", i)
+		}
+	}
+	if _, ok := NewWithQueue(1, QueueHeap).q.(*heapQueue); !ok {
+		t.Error("NewWithQueue(QueueHeap) does not run on the heap")
+	}
+	t.Setenv(QueueEnvVar, "")
+	if k := QueueFromEnv(); k != QueueWheel {
+		t.Errorf("QueueFromEnv() with $%s unset = %v, want wheel", QueueEnvVar, k)
+	}
+	if k, err := ResolveQueue(""); err != nil || k != QueueWheel {
+		t.Errorf("ResolveQueue(\"\") = %v, %v; want wheel", k, err)
+	}
+	t.Setenv(QueueEnvVar, "heap")
+	if k := QueueFromEnv(); k != QueueHeap {
+		t.Errorf("QueueFromEnv() with $%s=heap = %v, want heap", QueueEnvVar, k)
+	}
+	if k, err := ResolveQueue(""); err != nil || k != QueueHeap {
+		t.Errorf("ResolveQueue(\"\") with $%s=heap = %v, %v; want heap", QueueEnvVar, k, err)
+	}
+}
+
+// TestWheelReadyRunBoundedAfterRunAhead pins the reclamation of the ready
+// run's consumed prefix: after a RunUntil horizon lets the cursor run far
+// ahead of the clock, a long stream of short-delay events flows through the
+// ready run without it ever draining, and its storage must stay proportional
+// to the live population instead of growing with every event ever inserted.
+func TestWheelReadyRunBoundedAfterRunAhead(t *testing.T) {
+	s := NewWithQueue(1, QueueWheel)
+	w := s.q.(*wheelQueue)
+	Schedule(s, Second, func() {})
+	if err := s.RunUntil(Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if w.next <= int64(s.Now())>>wheelGranuleBits {
+		t.Fatalf("cursor did not run ahead of the clock (cursor granule %d, now %v)", w.next, s.Now())
+	}
+	fired := 0
+	var tick func()
+	tick = func() {
+		fired++
+		Schedule(s, 3*Microsecond, func() {})
+		Schedule(s, 10*Microsecond, tick)
+	}
+	tick()
+	maxCap := 0
+	for slice := 2; slice <= 100; slice++ {
+		if err := s.RunUntil(Time(slice) * Time(Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(w.ready); c > maxCap {
+			maxCap = c
+		}
+	}
+	if fired < 9000 {
+		t.Fatalf("only %d ticks fired", fired)
+	}
+	if maxCap > 64 {
+		t.Fatalf("ready run grew to capacity %d over %d short-delay events; want it bounded by the live population", maxCap, 2*fired)
 	}
 }

@@ -65,12 +65,12 @@ type ShardedEngine struct {
 // unbounded and shards run fully independently.
 const noLookahead = Duration(math.MaxInt64)
 
-// NewSharded creates a sharded engine with n worker shards on the reference
-// heap queue. Each shard's own RNG is seeded from (seed, shard index), but
+// NewSharded creates a sharded engine with n worker shards on the default
+// timing-wheel queue. Each shard's own RNG is seeded from (seed, shard index), but
 // partitioned workloads should not consume shard RNGs at all — per-entity
 // streams via WithRNG keep results independent of the partitioning.
 func NewSharded(seed int64, n int) *ShardedEngine {
-	return NewShardedWithQueue(seed, n, QueueHeap)
+	return NewShardedWithQueue(seed, n, QueueWheel)
 }
 
 // NewShardedWithQueue creates a sharded engine whose shards all run the
@@ -269,7 +269,7 @@ type mergedMsg struct {
 
 // mergeOutboxes drains every cross edge's outbox into the destination shards
 // in (timestamp, edge key, send order) order, returning how many messages it
-// moved. The order the messages are *scheduled* in fixes their heap sequence
+// moved. The order the messages are *scheduled* in fixes their queue sequence
 // numbers, so same-timestamp arrivals execute in this deterministic order
 // regardless of which goroutine finished its window first.
 func (e *ShardedEngine) mergeOutboxes() int {

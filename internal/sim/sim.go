@@ -205,13 +205,14 @@ func (s *Simulator) recycle(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// New creates a simulator on the reference heap queue, seeded with seed.
-func New(seed int64) *Simulator { return NewWithQueue(seed, QueueHeap) }
+// New creates a simulator on the default timing-wheel queue, seeded with
+// seed.
+func New(seed int64) *Simulator { return NewWithQueue(seed, QueueWheel) }
 
 // NewWithQueue creates a simulator on the given queue discipline, seeded with
 // seed. Execution order and every deterministic counter are identical across
-// disciplines; choose QueueWheel for the fastest event loop on workloads
-// dominated by short regular delays.
+// disciplines; QueueWheel (the default) is the fast event loop, QueueHeap
+// the exact-semantics reference to check it against.
 func NewWithQueue(seed int64, queue QueueKind) *Simulator {
 	return &Simulator{rng: NewRNG(seed), q: newQueue(queue)}
 }

@@ -112,7 +112,22 @@ func (w *wheelQueue) place(ev *event) {
 // readyInsert places ev into the uncollected portion of the sorted ready run,
 // keeping (at, seq) order. The common case — the new event fires at or after
 // everything already collected — appends in O(1).
+//
+// The run is otherwise only reset when it drains completely, which it may
+// never do once the cursor has run ahead of the clock (after a RunUntil
+// horizon or a barrier window peeked the next granule): new events keep
+// landing in the run while it is being consumed. So once the consumed
+// prefix passes half the run it is reclaimed by shifting the live tail
+// down. Each shift moves fewer events than were popped since the last one,
+// which keeps the reclamation amortised O(1) and the run's length within
+// about twice its live population.
 func (w *wheelQueue) readyInsert(ev *event) {
+	if w.readyPos > 0 && w.readyPos*2 >= len(w.ready) {
+		n := copy(w.ready, w.ready[w.readyPos:])
+		clear(w.ready[n:])
+		w.ready = w.ready[:n]
+		w.readyPos = 0
+	}
 	lo, hi := w.readyPos, len(w.ready)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
