@@ -1,8 +1,8 @@
 // Package-level benchmarks: one testing.B benchmark per table/figure of the
 // paper's evaluation (driving the experiment runners at reduced scale), plus
 // micro-benchmarks of the substrates and ablation benchmarks for the design
-// choices called out in DESIGN.md (emission multiplexing, the min_time
-// guard, dense vs closed-form optical sampling, DQP windowing).
+// choices called out in DESIGN.md (emission multiplexing, dense vs
+// closed-form optical sampling).
 //
 // Run with: go test -bench=. -benchmem
 package main
@@ -11,9 +11,9 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/egp"
 	"repro/internal/experiments"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/photonics"
 	"repro/internal/quantum"
@@ -93,42 +93,41 @@ func BenchmarkEngineParallel(b *testing.B) { benchmarkEngine(b, runtime.GOMAXPRO
 
 // --- Protocol-stack throughput benchmarks --------------------------------
 
-// benchmarkScenario runs the full stack for a fixed simulated duration and
-// reports delivered pairs per wall-second of benchmarking.
-func benchmarkScenario(b *testing.B, scenario nv.ScenarioID, priority int, multiplex bool, minTimeMargin uint64) {
+// benchmarkScenario runs the full stack of the paper's single link for a
+// fixed simulated duration and reports delivered pairs per run.
+func benchmarkScenario(b *testing.B, scenario nv.ScenarioID, priority int, multiplex bool) {
 	b.Helper()
 	b.ReportAllocs()
 	pairs := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(scenario)
+		cfg := netsim.DefaultConfig(netsim.Chain(2), scenario)
 		cfg.Seed = int64(i + 1)
 		cfg.EmissionMultiplexing = multiplex
-		cfg.MinTimeMarginCycles = minTimeMargin
-		net := core.NewNetwork(cfg)
-		gen := workload.NewGenerator(net, workload.OriginRandom, workload.SingleKind(priority, workload.LoadUltra, 3))
-		net.Start()
-		gen.Start()
+		net, err := netsim.NewNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net.AttachCycleTraffic(workload.OriginRandom, workload.SingleKind(priority, workload.LoadUltra, 3))
 		net.Run(sim.DurationSeconds(0.5))
-		gen.Stop()
-		pairs += net.Collector.OKCount(priority)
+		pairs += net.Links[0].Collector.OKCount(priority)
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/run")
 }
 
 func BenchmarkLabMeasureDirectly(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true)
 }
 
 func BenchmarkLabCreateKeep(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityCK, true, 0)
+	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityCK, true)
 }
 
 func BenchmarkQL2020MeasureDirectly(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true)
 }
 
 func BenchmarkQL2020CreateKeep(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityCK, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityCK, true)
 }
 
 // --- Ablation benchmarks (design choices from DESIGN.md) -----------------
@@ -136,20 +135,11 @@ func BenchmarkQL2020CreateKeep(b *testing.B) {
 // Emission multiplexing on vs off for the MD use case on QL2020, where reply
 // latency (145 µs) far exceeds the attempt cycle (10.12 µs).
 func BenchmarkAblationMultiplexingOn(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true)
 }
 
 func BenchmarkAblationMultiplexingOff(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, false, 0)
-}
-
-// min_time guard widened by 1000 cycles vs the propagation-derived default.
-func BenchmarkAblationMinTimeDefault(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 0)
-}
-
-func BenchmarkAblationMinTimeWide(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 1000)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, false)
 }
 
 // --- Substrate micro-benchmarks -------------------------------------------

@@ -1,7 +1,8 @@
 // Command linksim runs a single link layer scenario and prints its
 // performance metrics: a quick way to explore one configuration of the
 // system (scenario, scheduler, load, request kind, fidelity target,
-// classical loss) without the full benchmark suite.
+// classical loss) without the full benchmark suite. The link is a one-link
+// netsim network driven by the paper's per-cycle arrival model.
 //
 // Example:
 //
@@ -13,8 +14,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/egp"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -60,29 +61,30 @@ func main() {
 		org = workload.OriginRandom
 	}
 
-	cfg := core.DefaultConfig(sid)
+	cfg := netsim.DefaultConfig(netsim.Chain(2), sid)
 	cfg.Seed = *seed
 	cfg.Scheduler = *scheduler
 	cfg.ClassicalLossProb = *loss
 
-	net := core.NewNetwork(cfg)
-	gen := workload.NewGenerator(net, org, []workload.Class{{
+	net, err := netsim.NewNetwork(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	gen := net.AttachCycleTraffic(org, []workload.Class{{
 		Priority:    priority,
 		Fraction:    *load,
 		MaxPairs:    *kmax,
 		MinFidelity: *fmin,
 	}})
-	net.Start()
-	gen.Start()
-	stopSampling := sim.Ticker(net.Sim, 50*sim.Millisecond, net.SampleQueueLength)
 	net.Run(sim.DurationSeconds(*seconds))
-	stopSampling()
 
-	c := net.Collector
+	link := net.Links[0]
+	c := link.Collector
 	fmt.Printf("scenario:          %s\n", net.Describe())
 	fmt.Printf("kind / load:       %s / %.2f (kmax=%d, Fmin=%.2f)\n", *kind, *load, *kmax, *fmin)
 	fmt.Printf("simulated time:    %.2f s\n", c.DurationSeconds())
-	fmt.Printf("requests issued:   %d\n", gen.Submitted()[priority])
+	fmt.Printf("requests issued:   %d\n", gen.Submitted())
 	fmt.Printf("pairs delivered:   %d\n", c.OKCount(priority))
 	fmt.Printf("throughput:        %.3f pairs/s\n", c.Throughput(priority))
 	fmt.Printf("avg fidelity:      %.3f\n", c.Fidelity(priority).Mean())
@@ -95,10 +97,10 @@ func main() {
 	fmt.Printf("avg queue length:  %.2f\n", c.QueueLength().Mean())
 	fmt.Printf("timeouts/unsupp:   %d / %d\n", c.ErrorCount("TIMEOUT"), c.ErrorCount("UNSUPP"))
 	fmt.Printf("expire events:     %d\n", c.ExpireCount())
-	rep := c.Fairness(core.NodeA, core.NodeB)
+	rep := c.Fairness(link.NodeName("A"), link.NodeName("B"))
 	fmt.Printf("fairness (A vs B): fidelity %.3f, throughput %.3f, latency %.3f\n",
 		rep.FidelityRelDiff, rep.ThroughputRelDiff, rep.LatencyRelDiff)
-	matched, successes, timeMis, queueMis, noOther := net.Mid.Stats()
+	matched, successes, timeMis, queueMis, noOther := link.Mid.Stats()
 	fmt.Printf("midpoint:          matched=%d success=%d timeMismatch=%d queueMismatch=%d noMsgOther=%d\n",
 		matched, successes, timeMis, queueMis, noOther)
 }

@@ -9,8 +9,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/egp"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -19,18 +19,18 @@ import (
 func main() {
 	const seconds = 8.0
 	for _, scheduler := range []string{"FCFS", "HigherWFQ"} {
-		cfg := core.DefaultConfig(nv.ScenarioQL2020)
+		cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioQL2020)
 		cfg.Seed = 5
 		cfg.Scheduler = scheduler
-		net := core.NewNetwork(cfg)
-		gen := workload.NewGenerator(net, workload.OriginRandom, workload.Table1Pattern(true))
-		net.Start()
-		gen.Start()
+		net, err := netsim.NewNetwork(cfg)
+		if err != nil {
+			panic(err)
+		}
+		net.AttachCycleTraffic(workload.OriginRandom, workload.Table1Pattern(true))
 		net.Run(sim.DurationSeconds(seconds))
-		gen.Stop()
 
 		fmt.Printf("=== scheduler %s (QL2020, uniform NL/CK/MD load, %.0f s simulated) ===\n", scheduler, seconds)
-		c := net.Collector
+		c := net.Links[0].Collector
 		for _, p := range []int{egp.PriorityNL, egp.PriorityCK, egp.PriorityMD} {
 			fmt.Printf("  %-3s throughput %.3f pairs/s   scaled latency %.3f s   pairs %d\n",
 				egp.PriorityName(p), c.Throughput(p), c.ScaledLatency(p).Mean(), c.OKCount(p))

@@ -98,8 +98,8 @@ type Config struct {
 
 	Scheduler Scheduler
 	// ToPeer carries DQP/EGP frames to the peer EGP of the same link. Any
-	// classical.Port works: a direct Channel in the two-node network, or a
-	// TagPort over a shared node-to-node channel in the multi-link network.
+	// classical.Port works: netsim passes a TagPort over the shared
+	// node-to-node channel, the package tests a direct Channel.
 	ToPeer classical.Port
 
 	OnOK     func(OKEvent)

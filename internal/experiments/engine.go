@@ -6,8 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/nv"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -164,15 +165,23 @@ func RunIndexed(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// runProtocolTrial runs the full protocol stack for one trial: the network
-// is built for the trial's scenario with the trial-derived seed, optionally
-// adjusted by configure, driven by the given workload for the trial's
-// simulated duration.
-func runProtocolTrial(opt Options, t Trial, origin workload.Origin, classes []workload.Class, configure func(*core.Config)) *core.Network {
-	cfg := core.DefaultConfig(t.Scenario)
+// runProtocolTrial runs the full protocol stack for one trial: the paper's
+// single link is built as a one-link network for the trial's scenario with
+// the trial-derived seed, optionally adjusted by configure, and driven by the
+// per-cycle workload generator for the trial's simulated duration. The
+// returned link's collector also holds the queue-length samples the link
+// takes every 50 ms.
+func runProtocolTrial(opt Options, t Trial, origin workload.Origin, classes []workload.Class, configure func(*netsim.Config)) *netsim.Link {
+	cfg := netsim.DefaultConfig(netsim.Chain(2), t.Scenario)
 	cfg.Seed = t.DeriveSeed(opt.Seed)
 	if configure != nil {
 		configure(&cfg)
 	}
-	return runScenario(cfg, origin, classes, opt)
+	net, err := netsim.NewNetwork(cfg)
+	if err != nil {
+		panic(err) // a two-node chain always validates
+	}
+	net.AttachCycleTraffic(origin, classes)
+	net.Run(sim.DurationSeconds(opt.SimulatedSeconds))
+	return net.Links[0]
 }

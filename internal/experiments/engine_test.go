@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/nv"
+	"repro/internal/sim"
 )
 
 // TestDeriveSeedUniqueness checks that the splitmix64-based derivation gives
@@ -110,6 +111,26 @@ func TestParallelDeterminism(t *testing.T) {
 
 	if sequential != parallel {
 		t.Fatalf("tables differ between parallelism 1 and 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", sequential, parallel)
+	}
+}
+
+// TestQueueDisciplineParity renders the quick single-link protocol runners on
+// the default timing wheel and on the reference binary heap: the paper tables
+// must be byte-identical under either event queue.
+func TestQueueDisciplineParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("protocol-level experiment in short mode")
+	}
+	opt := QuickOptions()
+	names := []string{"fig6a", "table1", "table5", "metrics"}
+
+	t.Setenv(sim.QueueEnvVar, "wheel")
+	wheel := renderAll(opt, names...)
+	t.Setenv(sim.QueueEnvVar, "heap")
+	heap := renderAll(opt, names...)
+
+	if wheel != heap {
+		t.Fatalf("tables differ between the wheel and heap queues:\n--- wheel ---\n%s\n--- heap ---\n%s", wheel, heap)
 	}
 }
 

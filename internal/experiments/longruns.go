@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/egp"
+	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
@@ -54,10 +54,10 @@ func RunSection62Metrics(opt Options) []Table {
 	}
 	rows := runTrials(opt, trials, func(t Trial) metricRows {
 		classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
+		link := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
 
 		qberFid := 0.0
-		if q := net.Collector.QBER(t.Priority); q != nil && q.Samples() > 0 {
+		if q := link.Collector.QBER(t.Priority); q != nil && q.Samples() > 0 {
 			qberFid = q.FidelityEstimate()
 		}
 		out := metricRows{perf: []string{
@@ -65,15 +65,15 @@ func RunSection62Metrics(opt Options) []Table {
 			egp.PriorityName(t.Priority),
 			workload.LoadName(workload.LoadLevel(t.Load)),
 			itoa(t.KMax),
-			f3(net.Collector.Fidelity(t.Priority).Mean()),
+			f3(link.Collector.Fidelity(t.Priority).Mean()),
 			f3(qberFid),
-			f3(net.Collector.Throughput(t.Priority)),
-			f3(net.Collector.ScaledLatency(t.Priority).Mean()),
-			f3(net.Collector.QueueLength().Mean()),
-			itoa(net.Collector.OKCount(t.Priority)),
+			f3(link.Collector.Throughput(t.Priority)),
+			f3(link.Collector.ScaledLatency(t.Priority).Mean()),
+			f3(link.Collector.QueueLength().Mean()),
+			itoa(link.Collector.OKCount(t.Priority)),
 		}}
 		if t.KMax == lastKMax {
-			rep := net.Collector.Fairness(core.NodeA, core.NodeB)
+			rep := link.Collector.Fairness(link.NodeName("A"), link.NodeName("B"))
 			out.fairness = []string{
 				string(t.Scenario),
 				egp.PriorityName(t.Priority),
@@ -143,14 +143,14 @@ func RunTable1Scheduling(opt Options) []Table {
 	}
 	rows := runTrialCases(opt, cases, func(t Trial, c table1Case) schedRows {
 		classes := workload.Table1Pattern(c.uniform)
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, func(cfg *core.Config) {
+		link := runProtocolTrial(opt, t, workload.OriginRandom, classes, func(cfg *netsim.Config) {
 			cfg.Scheduler = c.sched
 		})
 
 		row := []string{c.name, c.sched}
 		total := 0.0
 		for _, priority := range priorityOrder {
-			th := net.Collector.Throughput(priority)
+			th := link.Collector.Throughput(priority)
 			total += th
 			if !c.uniform && priority == egp.PriorityNL {
 				row = append(row, "-")
@@ -167,8 +167,8 @@ func RunTable1Scheduling(opt Options) []Table {
 				continue
 			}
 			lrow = append(lrow, fmt.Sprintf("%.3f (%.3f)",
-				net.Collector.ScaledLatency(priority).Mean(),
-				net.Collector.ScaledLatency(priority).StdErr()))
+				link.Collector.ScaledLatency(priority).Mean(),
+				link.Collector.ScaledLatency(priority).StdErr()))
 		}
 		return schedRows{throughput: row, latency: lrow}
 	})
@@ -239,7 +239,7 @@ func runMixed(opt Options, throughputTable bool) []Table {
 	}
 	table.Rows = runTrialCases(opt, cases, func(t Trial, c mixedCase) []string {
 		classes := workload.Mixed(c.pattern)
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, func(cfg *core.Config) {
+		link := runProtocolTrial(opt, t, workload.OriginRandom, classes, func(cfg *netsim.Config) {
 			cfg.Scheduler = c.sched
 		})
 
@@ -252,7 +252,7 @@ func runMixed(opt Options, throughputTable bool) []Table {
 					row = append(row, "-")
 					continue
 				}
-				row = append(row, f3(net.Collector.Throughput(priority)))
+				row = append(row, f3(link.Collector.Throughput(priority)))
 			}
 			return row
 		}
@@ -262,8 +262,8 @@ func runMixed(opt Options, throughputTable bool) []Table {
 				continue
 			}
 			row = append(row, fmt.Sprintf("%.2f (%.2f)",
-				net.Collector.ScaledLatency(priority).Mean(),
-				net.Collector.ScaledLatency(priority).StdErr()))
+				link.Collector.ScaledLatency(priority).Mean(),
+				link.Collector.ScaledLatency(priority).StdErr()))
 		}
 		for _, priority := range priorityOrder {
 			if priority == egp.PriorityNL && !hasNL {
@@ -271,8 +271,8 @@ func runMixed(opt Options, throughputTable bool) []Table {
 				continue
 			}
 			row = append(row, fmt.Sprintf("%.2f (%.2f)",
-				net.Collector.RequestLatency(priority).Mean(),
-				net.Collector.RequestLatency(priority).StdErr()))
+				link.Collector.RequestLatency(priority).Mean(),
+				link.Collector.RequestLatency(priority).StdErr()))
 		}
 		return row
 	})

@@ -43,13 +43,13 @@ func RunFig6Load(opt Options) []Table {
 			MaxPairs:    t.KMax,
 			MinFidelity: t.Fidelity,
 		}}
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
+		link := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
 		return []string{
 			f3(t.Load),
 			egp.PriorityName(t.Priority),
-			f3(net.Collector.ScaledLatency(t.Priority).Mean()),
-			f3(net.Collector.Throughput(t.Priority)),
-			f3(net.Collector.QueueLength().Mean()),
+			f3(link.Collector.ScaledLatency(t.Priority).Mean()),
+			f3(link.Collector.Throughput(t.Priority)),
+			f3(link.Collector.QueueLength().Mean()),
 		}
 	})
 	return []Table{table}
@@ -97,19 +97,19 @@ func RunFig6Fidelity(opt Options) []Table {
 			MaxPairs:    t.KMax,
 			MinFidelity: t.Fidelity,
 		}}
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
+		link := runProtocolTrial(opt, t, workload.OriginRandom, classes, nil)
 		return [2][]string{
 			{
 				f3(t.Fidelity),
 				egp.PriorityName(t.Priority),
-				f3(net.Collector.ScaledLatency(t.Priority).Mean()),
-				itoa(net.Collector.ErrorCount("UNSUPP")),
+				f3(link.Collector.ScaledLatency(t.Priority).Mean()),
+				itoa(link.Collector.ErrorCount("UNSUPP")),
 			},
 			{
 				f3(t.Fidelity),
 				egp.PriorityName(t.Priority),
-				f3(net.Collector.Throughput(t.Priority)),
-				f3(net.Collector.Fidelity(t.Priority).Mean()),
+				f3(link.Collector.Throughput(t.Priority)),
+				f3(link.Collector.Fidelity(t.Priority).Mean()),
 			},
 		}
 	})

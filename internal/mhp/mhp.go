@@ -775,7 +775,7 @@ func (m *Midpoint) String() string {
 }
 
 // NewGENPayload builds the channel payload for a GEN frame sent by the named
-// node ("A" or "B"); exported for the core network wiring and tests.
+// node ("A" or "B"); exported for tests that inject frames at the midpoint.
 func NewGENPayload(frame []byte, alpha float64, node string, cycle uint64) any {
 	side := nv.SideA
 	if node == "B" {

@@ -10,8 +10,8 @@ import (
 )
 
 // trafficGen is the lifecycle contract every attached traffic generator
-// satisfies: the legacy single-class Traffic and the multi-class
-// MultiTraffic both start and stop with the network.
+// satisfies: the legacy single-class Traffic, the multi-class MultiTraffic
+// and the per-cycle CycleTraffic all start and stop with the network.
 type trafficGen interface {
 	Start()
 	Stop()

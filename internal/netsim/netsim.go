@@ -138,6 +138,11 @@ type Link struct {
 	// Submitted/OKs/Errs count protocol events across both endpoints.
 	Submitted, OKs, Errs uint64
 
+	// mdPending holds measure-directly outcomes waiting for the other
+	// endpoint's outcome of the same pair, keyed by entanglement ID (the
+	// link's own uint16 MHP sequence, so each link keeps its own table).
+	mdPending map[uint16]mdOutcome
+
 	// traceNet is the link's netsim-layer flight-recorder ring (nil when
 	// tracing is off); the EGP/MHP rings are handed to those layers directly.
 	traceNet *obs.Ring
@@ -198,8 +203,9 @@ func OtherRole(role string) string {
 	return roleB
 }
 
-// nodeName maps a per-link role to the global node name.
-func (l *Link) nodeName(role string) string {
+// NodeName maps a per-link role to the global node name, the origin label
+// of the link's collector.
+func (l *Link) NodeName(role string) string {
 	if role == roleB {
 		return l.nodeNameB
 	}
@@ -700,7 +706,7 @@ func (nw *Network) Submit(l *Link, role string, req egp.CreateRequest) (uint16, 
 		// The link's own clock, not the network engine's: under sharding a
 		// submission fires on the owning shard's loop, where the engine-wide
 		// clock is a stale barrier time.
-		l.Collector.RequestSubmitted(requestKey(role, id), req.Priority, l.nodeName(role), req.NumPairs, l.Eng.Now())
+		l.Collector.RequestSubmitted(requestKey(role, id), req.Priority, l.NodeName(role), req.NumPairs, l.Eng.Now())
 	}
 	return id, code
 }
@@ -711,6 +717,9 @@ func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 	l.OKs++
 	if nw.OnLinkOK != nil {
 		nw.OnLinkOK(l, ev)
+	}
+	if !ev.Keep {
+		l.matchMeasurement(ev)
 	}
 	if !ev.OriginIsLocal {
 		return
@@ -726,10 +735,54 @@ func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 	nw.cLinkOKs.Inc()
 	nw.ttp.Observe(ev.Priority, ev.At.Sub(ev.CreateTime))
 	key := requestKey(ev.Node, ev.CreateID)
-	l.Collector.PairDelivered(key, ev.Priority, l.nodeName(ev.Node), ev.Fidelity, ev.At)
+	l.Collector.PairDelivered(key, ev.Priority, l.NodeName(ev.Node), ev.Fidelity, ev.At)
 	if ev.RequestDone {
 		l.Collector.RequestCompleted(key, ev.At)
 	}
+}
+
+// mdOutcome is one endpoint's measure-directly outcome awaiting its partner.
+type mdOutcome struct {
+	role    string
+	basis   quantum.BasisLabel
+	outcome int
+}
+
+// matchMeasurement pairs the two endpoints' outcomes of the same
+// measure-directly pair and, when the bases agree, records the correlation
+// in the link's QBER counter and both FEUs' test-round estimators. It draws
+// no random numbers and schedules no events.
+func (l *Link) matchMeasurement(ev egp.OKEvent) {
+	other, ok := l.mdPending[ev.EntanglementID]
+	if !ok || other.role == ev.Node {
+		// Either the first half of a pair, or a stale one-sided outcome from
+		// the same endpoint (its peer's REPLY was lost and the sequence later
+		// wrapped onto the same ID): the new outcome takes the slot.
+		if l.mdPending == nil {
+			l.mdPending = make(map[uint16]mdOutcome)
+		}
+		l.mdPending[ev.EntanglementID] = mdOutcome{role: ev.Node, basis: ev.MeasureBasis, outcome: ev.MeasureOutcome}
+		return
+	}
+	delete(l.mdPending, ev.EntanglementID)
+	if other.basis != ev.MeasureBasis {
+		return
+	}
+	outcomeA, outcomeB := ev.MeasureOutcome, other.outcome
+	if ev.Node == roleB {
+		outcomeA, outcomeB = other.outcome, ev.MeasureOutcome
+	}
+	// Classical correction: a |Ψ−⟩ herald differs from |Ψ+⟩ by a Z on one
+	// qubit, which flips the correlation sign in the X and Y bases. Flip one
+	// side's outcome so all correlations are accounted against the |Ψ+⟩
+	// pattern (Eq. 13).
+	if ev.HeraldedPsiMinus && ev.MeasureBasis != quantum.BasisZ {
+		outcomeA = 1 - outcomeA
+	}
+	basis := int(ev.MeasureBasis)
+	l.Collector.RecordQBER(ev.Priority, basis, outcomeA, outcomeB)
+	l.EGPA.FEU().RecordTestOutcome(basis, outcomeA, outcomeB)
+	l.EGPB.FEU().RecordTestOutcome(basis, outcomeA, outcomeB)
 }
 
 // handleError records a failed request (origin side only; error events are

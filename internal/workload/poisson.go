@@ -7,9 +7,8 @@ import (
 )
 
 // This file is the single home of the paper's Poisson request-arrival model,
-// shared by the two-node workload generator (per-cycle Bernoulli sampling,
-// Section 6) and the multi-link netsim traffic generator (exponential
-// interarrival scheduling). Both express their rates through
+// shared by netsim's per-cycle generator (Bernoulli sampling, Section 6) and
+// its exponential-interarrival traffic generators. Both express their rates through
 // PerCycleProbability/RatePerSecond, and the event-driven flavour runs on
 // PoissonStream, so the arrival statistics stay identical no matter which
 // layer drives them.
