@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/egp"
@@ -307,6 +308,23 @@ func TestFairnessBetweenOrigins(t *testing.T) {
 	rep := c.Fairness(nameA, nameB)
 	if rep.OKCountRelDiff > 0.5 {
 		t.Fatalf("origin fairness badly violated: %+v", rep)
+	}
+}
+
+func TestDeterministicWithSameSeed(t *testing.T) {
+	run := func(seed int64) (int, float64) {
+		o := newOneLink(t, nv.ScenarioLab, seed, nil)
+		o.submitAt(0, roleA, egp.CreateRequest{NumPairs: 3, MinFidelity: 0.6, Priority: egp.PriorityMD})
+		o.Run(2 * sim.Second)
+		return len(o.oks), o.link.Collector.Fidelity(egp.PriorityMD).Mean()
+	}
+	oks1, f1 := run(99)
+	oks2, f2 := run(99)
+	if oks1 == 0 {
+		t.Fatal("no OKs delivered for an MD request in 2 s of Lab time")
+	}
+	if oks1 != oks2 || math.Abs(f1-f2) > 1e-12 {
+		t.Fatalf("same seed should reproduce identical runs: %d/%v vs %d/%v", oks1, f1, oks2, f2)
 	}
 }
 
